@@ -470,11 +470,11 @@ type Result struct {
 	WorkerReuse bool
 
 	// Batched reports that this run was one lane of a batched sweep
-	// request: its suite shared one generated step loop (and, pooled,
-	// one request frame) with the other lanes of its batch. ExecNanos is
-	// then the batch wall clock split evenly across lanes, and coverage
-	// lives only in the sweep's OR-merged record (Results.Coverage is
-	// nil — set Options.DisableBatch for per-suite coverage).
+	// request: its suite ran back to back with the other lanes of its
+	// batch in one process (and, pooled, one request frame). ExecNanos is
+	// the lane's own measured run time, and coverage lives only in the
+	// sweep's OR-merged record (Results.Coverage is nil — set
+	// Options.DisableBatch for per-suite coverage).
 	Batched bool
 
 	// Opt reports what the optimizing middle-end did (nil only for
@@ -761,7 +761,7 @@ func (s *SweepResult) MergedUncovered() []string {
 // keep adding random suites until the merged coverage stops growing.
 // Coverage is forced on. When the options allow it (no Budget,
 // DisableBatch unset), groups of seeds execute through the generated
-// batch entry point — one cache-hot step loop over all lanes — and
+// batch entry point — one request running its lanes back to back — and
 // fall back to per-run execution (pooled or spawn) otherwise; hashes,
 // diagnostics and merged coverage are bit-identical either way, though
 // batched lanes skip per-suite coverage detail. Per-run suites run concurrently
@@ -1014,7 +1014,7 @@ func sweepBatch(ctx context.Context, m *Model, opts *Options, or *opt.Result, pp
 				runs[lo+j] = &Result{
 					Results: r, layout: prog.Layout, CacheHit: cacheHit,
 					WorkerReuse: reused, Batched: true, Opt: optStats(opts, or),
-					ArtifactHash: prog.Hash(),
+					Part: partStats(pp), ArtifactHash: prog.Hash(),
 				}
 			}
 		}(b+1, lo, hi)

@@ -2,13 +2,16 @@ package accmos_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	accmos "accmos"
+	"accmos/internal/model"
 	"accmos/internal/testcase"
+	"accmos/internal/types"
 )
 
 // xorSuite copies tcs with every uniform source seed XORed by xor — the
@@ -26,7 +29,7 @@ func xorSuite(tcs *accmos.TestCases, xor uint64) *accmos.TestCases {
 }
 
 // TestBatchMatchesSequentialAllEngines is the acceptance gate for the
-// lane-vectorized batch path: a default Sweep (which routes step-bounded
+// batched lane path: a default Sweep (which routes step-bounded
 // suites through the generated batch entry point) must be bit-identical
 // to the per-run executor — and every lane must also match the three
 // interpreted engines replaying the same perturbed suite — at every opt
@@ -134,6 +137,83 @@ func TestBatchMatchesSequentialAllEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// wideSweepModel: independent transcendental chains (each opening with a
+// log that fires domain diagnoses on negative stimulus) merged into one
+// output, so a 2-way partition cut exists.
+func wideSweepModel() *accmos.Model {
+	b := accmos.NewModelBuilder("WIDESWEEP")
+	b.Add("Join", "Sum", 4, 1, model.WithOperator("++++"))
+	b.Add("Out", "Outport", 1, 0, model.WithParam("Port", "1"))
+	b.Wire("Join", "Out", 0)
+	for ci := 0; ci < 4; ci++ {
+		in := fmt.Sprintf("In%d", ci)
+		b.Add(in, "Inport", 0, 1, model.WithOutKind(types.F64), model.WithParam("Port", fmt.Sprint(ci+1)))
+		prev := in
+		for d, op := range []string{"log", "tanh", "sin", "cos", "exp", "tanh"} {
+			name := fmt.Sprintf("M%d_%d", ci, d)
+			b.Add(name, "Math", 1, 1, model.WithOperator(op))
+			b.Wire(prev, name, 0)
+			prev = name
+		}
+		b.Wire(prev, "Join", ci)
+	}
+	return b.MustBuild()
+}
+
+// TestPartitionedBatchedSweep: on a partitioned build, batch lanes run
+// through the pipelined runSim. They must report the partition cut like
+// per-run dispatch does and match it lane for lane, diagnosis record
+// stream included.
+func TestPartitionedBatchedSweep(t *testing.T) {
+	m := wideSweepModel()
+	seeds := []uint64{0, 1, 0xDEAD, 0xBEEF}
+	opts := accmos.Options{
+		Steps:      600,
+		Diagnose:   true,
+		Partitions: 2,
+		TestCases:  accmos.RandomTestCases(m, 5, -30, 30),
+	}
+	batched, err := accmos.Sweep(m, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := opts
+	per.DisableBatch = true
+	perRun, err := accmos.Sweep(m, per, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seeds {
+		a, b := batched.Runs[i], perRun.Runs[i]
+		if !a.Batched || b.Batched {
+			t.Fatalf("run %d: batched flags %v/%v", i, a.Batched, b.Batched)
+		}
+		if a.Part == nil || a.Part.Usable != 2 {
+			t.Fatalf("run %d: batched lane reports partition %+v, want a usable 2-way cut", i, a.Part)
+		}
+		if !reflect.DeepEqual(a.Part, b.Part) {
+			t.Errorf("run %d: partition stats %+v (batched) vs %+v (per-run)", i, a.Part, b.Part)
+		}
+		if a.OutputHash != b.OutputHash || a.Steps != b.Steps || a.DiagTotal != b.DiagTotal {
+			t.Errorf("run %d: hash/steps/diags %x/%d/%d (batched) vs %x/%d/%d (per-run)",
+				i, a.OutputHash, a.Steps, a.DiagTotal, b.OutputHash, b.Steps, b.DiagTotal)
+		}
+		if !reflect.DeepEqual(a.DiagCounts, b.DiagCounts) || !reflect.DeepEqual(a.FirstDetect, b.FirstDetect) {
+			t.Errorf("run %d: diag aggregates %v %v (batched) vs %v %v (per-run)",
+				i, a.DiagCounts, a.FirstDetect, b.DiagCounts, b.FirstDetect)
+		}
+		if !reflect.DeepEqual(a.Diags, b.Diags) {
+			t.Errorf("run %d: diag record streams differ", i)
+		}
+	}
+	if batched.Runs[0].DiagTotal == 0 {
+		t.Fatal("no diagnosis fired: the record-stream comparison is vacuous")
+	}
+	if batched.MergedCoverage() != perRun.MergedCoverage() {
+		t.Errorf("merged coverage %+v (batched) vs %+v (per-run)", batched.MergedCoverage(), perRun.MergedCoverage())
 	}
 }
 

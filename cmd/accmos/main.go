@@ -50,7 +50,7 @@ func main() {
 		sweep     = flag.Int("sweep", 0, "run N random test suites against one compiled binary, merging coverage")
 		parallel  = flag.Int("parallel", 0, "concurrent suite executions for -sweep (0 = GOMAXPROCS, 1 = sequential)")
 		workers   = flag.Int("workers", 0, "warm serve-mode worker processes for -sweep: suites reuse up to N live binaries instead of spawning one process per run (0 = spawn per run)")
-		noBatch   = flag.Bool("no-batch", false, "disable lane-vectorized batch execution for -sweep (one request per suite; results are bit-identical)")
+		noBatch   = flag.Bool("no-batch", false, "disable batch execution for -sweep (one request per suite; results are bit-identical)")
 		timeout   = flag.Duration("timeout", 0, "kill a generated-binary run exceeding this wall-clock deadline, e.g. 30s (0 = none)")
 		progress  = flag.Bool("progress", false, "show a live progress line (steps/sec, coverage) on stderr")
 		traceJSON = flag.String("trace-json", "", "write the pipeline phase trace (parse/schedule/instrument/generate/compile/run) as JSON to this file")

@@ -1,12 +1,15 @@
 package codegen_test
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"accmos/internal/actors"
 	"accmos/internal/codegen"
+	"accmos/internal/coverage"
 	"accmos/internal/diagnose"
 	"accmos/internal/harness"
 	"accmos/internal/interp"
@@ -228,9 +231,13 @@ func TestPartitionedEquivalence(t *testing.T) {
 	}
 }
 
-// Batch lanes and partitioned builds compose: modelExe drives the
-// singleton frame through all stages, so runBatch on a partitioned
-// binary must match the sequential binary lane for lane.
+// Batch lanes and partitioned builds compose: every lane of a
+// partitioned binary runs through the pipelined runSim and mergeDiags,
+// so runBatch must match the sequential binary lane for lane — hash,
+// diagnosis aggregates, the verbatim record stream and monitors — and
+// each lane must match a one-shot run with its seed. The batch's
+// coverage must be the OR of the one-shot bitmaps; the 1-step horizon
+// leaves the lanes covering different points, so that check binds.
 func TestPartitionedBatchLanes(t *testing.T) {
 	c := messyPartitionModel(t)
 	set := testcase.NewRandomSet(2, 47, -40, 40)
@@ -245,35 +252,66 @@ func TestPartitionedBatchLanes(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint64{0, 1, 2, 0xdeadbeef}
-	seqLanes, seqCov, err := harness.RunBatch(t.Context(), seqBin, harness.RunOptions{Steps: 1500}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parLanes, parCov, err := harness.RunBatch(t.Context(), parBin, harness.RunOptions{Steps: 1500}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqLanes) != len(parLanes) {
-		t.Fatalf("lane counts: %d vs %d", len(seqLanes), len(parLanes))
-	}
-	for i := range seqLanes {
-		if seqLanes[i].OutputHash != parLanes[i].OutputHash {
-			t.Errorf("lane %d hash: sequential %x vs partitioned %x", i, seqLanes[i].OutputHash, parLanes[i].OutputHash)
+	spread, diags := false, false
+	for _, steps := range []int64{1, 1500} {
+		seqLanes, seqCov, err := harness.RunBatch(t.Context(), seqBin, harness.RunOptions{Steps: steps}, seeds)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seqLanes[i].DiagTotal != parLanes[i].DiagTotal {
-			t.Errorf("lane %d diagTotal: %d vs %d", i, seqLanes[i].DiagTotal, parLanes[i].DiagTotal)
+		parLanes, parCov, err := harness.RunBatch(t.Context(), parBin, harness.RunOptions{Steps: steps}, seeds)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if (seqCov == nil) != (parCov == nil) {
-		t.Fatalf("batch coverage presence differs")
-	}
-	if seqCov != nil {
-		for i := range seqCov.Actor {
-			if seqCov.Actor[i] != parCov.Actor[i] {
-				t.Fatalf("batch actor bitmap differs at %d", i)
+		if len(seqLanes) != len(seeds) || len(parLanes) != len(seeds) {
+			t.Fatalf("lane counts: %d vs %d, want %d", len(seqLanes), len(parLanes), len(seeds))
+		}
+		merged := seqProg.Layout.NewRaw()
+		var laneCov []*coverage.Raw
+		for i, seed := range seeds {
+			assertIdenticalResults(t, seqLanes[i], parLanes[i])
+			if !reflect.DeepEqual(seqLanes[i].DiagCounts, parLanes[i].DiagCounts) {
+				t.Errorf("%d steps, lane %d diag counts: %v vs %v", steps, i, seqLanes[i].DiagCounts, parLanes[i].DiagCounts)
 			}
+			if !reflect.DeepEqual(seqLanes[i].FirstDetect, parLanes[i].FirstDetect) {
+				t.Errorf("%d steps, lane %d first detect: %v vs %v", steps, i, seqLanes[i].FirstDetect, parLanes[i].FirstDetect)
+			}
+			diags = diags || len(parLanes[i].Diags) > 0
+			one, err := harness.Run(seqBin, harness.RunOptions{Steps: steps, SeedXor: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := merged.Merge(one.Coverage); err != nil {
+				t.Fatal(err)
+			}
+			laneCov = append(laneCov, one.Coverage)
+			one.Coverage = nil
+			assertIdenticalResults(t, one, parLanes[i])
+		}
+		if seqCov == nil || parCov == nil {
+			t.Fatalf("batch coverage missing: sequential %v, partitioned %v", seqCov != nil, parCov != nil)
+		}
+		if !sameBitmaps(seqCov, parCov) {
+			t.Errorf("%d steps, batch coverage: sequential %+v vs partitioned %+v", steps, seqCov, parCov)
+		}
+		if !sameBitmaps(parCov, merged) {
+			t.Errorf("%d steps, batch coverage %+v is not the OR of the one-shot runs %+v", steps, parCov, merged)
+		}
+		for _, lc := range laneCov {
+			spread = spread || !sameBitmaps(lc, merged)
 		}
 	}
+	if !diags {
+		t.Error("the messy model fired no diagnoses: the record-stream comparison is vacuous")
+	}
+	if !spread {
+		t.Error("every lane covered the same points: the OR-merge comparison is vacuous")
+	}
+}
+
+// sameBitmaps reports whether two coverage records set the same points.
+func sameBitmaps(a, b *coverage.Raw) bool {
+	return bytes.Equal(a.Actor, b.Actor) && bytes.Equal(a.Cond, b.Cond) &&
+		bytes.Equal(a.Dec, b.Dec) && bytes.Equal(a.MCDC, b.MCDC)
 }
 
 // A usable partition plan must change the build-cache key; a declined
@@ -354,4 +392,50 @@ func TestPartitionedSourceShape(t *testing.T) {
 			t.Errorf("partitioned source is missing %q", want)
 		}
 	}
+
+	// runSim is the only step loop, sequential or pipelined: batch lanes
+	// run back to back through it, with no per-lane state copies.
+	opts.Partition = nil
+	seq, err := codegen.Generate(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name, src, step string
+	}{
+		{"sequential", seq.Source, "modelExe("},
+		{"partitioned", p.Source, "partStep("},
+	} {
+		for _, gone := range []string{"laneState", "laneSave", "laneLoad", "batchChunk", "seqFrame"} {
+			if strings.Contains(b.src, gone) {
+				t.Errorf("%s source still carries %q", b.name, gone)
+			}
+		}
+		runSim := funcSource(t, b.src, "runSim")
+		calls := strings.Count(b.src, b.step) - strings.Count(b.src, "func "+b.step)
+		if inRunSim := strings.Count(runSim, b.step); calls == 0 || inRunSim != calls {
+			t.Errorf("%s source: %d %s call sites, %d of them in runSim", b.name, calls, b.step, inRunSim)
+		}
+		batch := funcSource(t, b.src, "runBatch")
+		if !strings.Contains(batch, "runSim(") || !strings.Contains(batch, "modelReset()") {
+			t.Errorf("%s runBatch does not run its lanes through modelReset + runSim:\n%s", b.name, batch)
+		}
+	}
+	if strings.Contains(p.Source, "func modelExe(") {
+		t.Error("partitioned source still emits a modelExe")
+	}
+}
+
+// funcSource returns the text of the top-level function name in src.
+func funcSource(t *testing.T, src, name string) string {
+	t.Helper()
+	start := strings.Index(src, "\nfunc "+name+"(")
+	if start < 0 {
+		t.Fatalf("generated source has no func %s", name)
+	}
+	end := strings.Index(src[start:], "\n}\n")
+	if end < 0 {
+		t.Fatalf("func %s is not terminated", name)
+	}
+	return src[start : start+end+3]
 }

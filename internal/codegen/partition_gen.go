@@ -17,10 +17,9 @@ import (
 // its statement block and end-of-step updates verbatim, and writes the
 // signals later stages consume back into the frame. Because stages are
 // contiguous schedule segments, concatenating the stage streams
-// reproduces the sequential step body exactly — modelExe drives the
-// singleton seqFrame through every stage in order, which is what batch
-// lanes and serve requests call, while the pipelined runSim flows ring
-// frames through one goroutine per stage.
+// reproduces the sequential step body exactly. The pipelined runSim
+// flows ring frames through one goroutine per stage; one-shot runs,
+// serve requests and batch lanes all go through it.
 
 var (
 	reSigVar   = regexp.MustCompile(`\bv\d+_\d+\b`)
@@ -51,9 +50,8 @@ type stageText struct {
 
 // emitPartitioned renders the partitioned model system: the pframe type,
 // fillStimulus, one partStep function per stage, the stage dispatcher,
-// the frame-composing modelExe, the diag call-site order table and
-// mergeDiags. The caller has already routed instrumentation into
-// g.partBodies/g.updateParts.
+// the diag call-site order table and mergeDiags. The caller has already
+// routed instrumentation into g.partBodies/g.updateParts.
 func (g *Generator) emitPartitioned(sb *strings.Builder, tcExprs []string) error {
 	stages, err := g.buildStages(tcExprs)
 	if err != nil {
@@ -107,7 +105,7 @@ type pframe struct {
 	for _, v := range shipList {
 		fmt.Fprintf(sb, "\tx_%s [pipeChunk]%s\n", v, declType[v])
 	}
-	sb.WriteString("}\n\nvar pipeRing [pipeDepth]pframe\nvar seqFrame pframe\n")
+	sb.WriteString("}\n\nvar pipeRing [pipeDepth]pframe\n")
 
 	// fillStimulus: the issuing goroutine computes the stimulus exprs, so
 	// embedded RNG state advances exactly as the sequential loop would.
@@ -170,21 +168,6 @@ type pframe struct {
 		fmt.Fprintf(sb, "\tcase %d:\n\t\tpartStep%d(f)\n", p, p)
 	}
 	sb.WriteString("\t}\n}\n")
-
-	// modelExe: sequential composition over the singleton frame.
-	sb.WriteString("\n// modelExe executes one simulation step by driving the singleton\n// frame through every pipeline stage in schedule order — the stage\n// concatenation is exactly the sequential step body, so batch lanes and\n// serve requests compose with partitioned builds unchanged.\n")
-	sb.WriteString("func modelExe(step int64")
-	for i := range tcExprs {
-		fmt.Fprintf(sb, ", tcIn%d float64", i)
-	}
-	sb.WriteString(") {\n\tf := &seqFrame\n\tf.base, f.n, f.last = step, 1, false\n")
-	for i := range tcExprs {
-		fmt.Fprintf(sb, "\tf.tc%d[0] = tcIn%d\n", i, i)
-	}
-	for p := range stages {
-		fmt.Fprintf(sb, "\tpartStep%d(f)\n", p)
-	}
-	sb.WriteString("}\n")
 
 	g.emitMergeDiags(sb, stages)
 	return nil
@@ -277,7 +260,7 @@ func (g *Generator) declTable() (map[string]int, map[string]string) {
 }
 
 // writeIndented re-emits a statement stream one tab deeper (stage bodies
-// were instrumented at modelExe depth; partStep loops sit one deeper).
+// were instrumented at step-function depth; partStep loops sit one deeper).
 func writeIndented(sb *strings.Builder, text string) {
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" {

@@ -132,10 +132,10 @@ func (p *Program) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// stateVar is one tracked mutable global: its name and its Go type.
-// Plain assignment of the type must copy the value (scalars and arrays —
-// the shapes actor templates emit); slice-typed runtime state
-// (diagRecords, monSamples) is handled explicitly by laneState.
+// stateVar is one tracked mutable global: its name and its Go type,
+// which modelReset zeroes with *new(type). Slice-typed runtime state
+// (diagRecords, diagBuf, monSamples) is truncated by modelReset
+// explicitly instead.
 type stateVar struct {
 	name, typ string
 }
@@ -166,9 +166,8 @@ type Generator struct {
 
 	// stateVars lists every mutable zero-valued global ("var NAME TYPE"):
 	// the per-run state modelReset restores to its fresh-process value
-	// before replaying modelInit, and the state the batch entry point
-	// swaps in and out per seed lane (laneState holds one field per
-	// entry). Initializer-bearing declarations (read-only tables) and
+	// before replaying modelInit, between serve requests and between
+	// batch lanes. Initializer-bearing declarations (read-only tables) and
 	// function declarations are excluded — they carry no per-run state.
 	stateVars []stateVar
 
@@ -367,8 +366,8 @@ func (g *Generator) prepare() error {
 	}
 	// O2 hoisted loop invariants: one global per folded subtree, assigned
 	// its pre-computed value in modelInit. Being stateVars they round-trip
-	// through modelReset (zeroed, then reassigned by the init replay) and
-	// the batch lane save/restore — both are value-preserving.
+	// through modelReset (zeroed, then reassigned by the init replay), so
+	// every serve request and batch lane sees the same value.
 	if p := g.opts.Plan; p != nil {
 		for _, h := range p.Hoisted {
 			g.Global(fmt.Sprintf("var %s %s", h.Name, h.Val.Kind.GoType()))

@@ -290,11 +290,40 @@ func emitHeartbeatPartial(runID string, steps int64, elapsed time.Duration) {
 		modelName, steps, elapsed.Nanoseconds(), jsonFloat(sps), run)
 }
 
-// batchChunk is how many steps a lane runs before runBatch rotates to
-// the next lane: large enough to amortize the laneSave/laneLoad state
-// swap (multi-KB on big models), small enough that lanes stay
-// interleaved and the heartbeat cadence holds.
-const batchChunk = 64
+// runBatch runs one lane per seedXor back to back, each through the
+// same modelReset + runSim + resultsJSON sequence a serve request takes,
+// so every lane is bit-identical to a single run with its seedXor and its
+// execNanos is its own run time. The coverage bitmaps are zeroed only
+// before the first lane: every coverage write is an idempotent 1-set and
+// modelInit re-applies the premarks, so after the last lane the bitmaps
+// hold the OR-merge of every lane (covJSON renders it once per batch).
+// Heartbeats count steps over all lanes so far: one between lanes when
+// due, and exactly one final heartbeat after the last lane. Returns one
+// rendered result document per lane, in seedXors order.
+func runBatch(seedXors []uint64, steps int64, hbEvery time.Duration, runID string) [][]byte {
+	covReset()
+	out := make([][]byte, len(seedXors))
+	start := time.Now()
+	hbNext := start.Add(hbEvery)
+	total := int64(0)
+	for i, x := range seedXors {
+		seedXor = x
+		modelReset()
+		executed, elapsed := runSim(steps, 0, 0, runID)
+		out[i] = resultsJSON(executed, elapsed.Nanoseconds(), false)
+		total += executed
+		if hbEvery > 0 && i < len(seedXors)-1 {
+			if now := time.Now(); !now.Before(hbNext) {
+				emitHeartbeat(runID, total, now.Sub(start), false)
+				hbNext = now.Add(hbEvery)
+			}
+		}
+	}
+	if hbEvery > 0 {
+		emitHeartbeat(runID, total, time.Since(start), true)
+	}
+	return out
+}
 
 // parseSeedList decodes the -batch-seeds flag: comma-separated uint64
 // seed-xor values (0x-prefixed hex accepted), one lane per entry.
@@ -382,8 +411,8 @@ func writeBatchFrame(out *bufio.Writer, id string, lanes [][]byte, cov []byte) {
 // run when positive — with both set, whichever is reached first wins;
 // with both <= 0, the binary's -steps default applies. heartbeatMs <= 0
 // disables heartbeats for that run. Batch requests (accmosBatch set)
-// run every seedXors lane through the batched loop and answer with a
-// laneCount header frame followed by one result line per lane.
+// run every seedXors lane back to back through runBatch and answer with
+// a laneCount header frame followed by one result line per lane.
 func serveLoop(defSteps int64) {
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 64*1024), 8*1024*1024)
@@ -416,6 +445,7 @@ func serveLoop(defSteps int64) {
 			continue
 		}
 		seedXor = req.SeedXor
+		covReset()
 		modelReset()
 		steps := req.Steps
 		if steps <= 0 && req.BudgetMS <= 0 {

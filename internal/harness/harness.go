@@ -325,14 +325,16 @@ func seedList(xs []uint64) string {
 }
 
 // RunBatch executes one spawn of the built binary in batched lane mode:
-// one lane per seedXor, all stepped to opts.Steps through the generated
-// batch loop, returning the per-lane results in seed order plus the
+// one lane per seedXor, each run to opts.Steps back to back in the one
+// process, returning the per-lane results in seed order plus the
 // batch's OR-merged coverage (nil when coverage is off). Batch runs are
 // step-bounded (opts.Budget must be zero); Timeout bounds the whole
-// batch. Per-lane ExecNanos is the batch wall clock split evenly — the
+// batch. Per-lane ExecNanos is the lane's own measured run time — the
 // lane results are bit-identical to sequential runs in everything the
 // equivalence oracle compares (hash, diagnostics), timing aside, and
 // the merged coverage equals the OR of the sequential runs' bitmaps.
+// Heartbeats count steps over all lanes so far, and the batch emits
+// exactly one final heartbeat, after its last lane.
 func RunBatch(ctx context.Context, binPath string, opts RunOptions, seedXors []uint64) ([]*simresult.Results, *coverage.Raw, error) {
 	defer opts.Trace.Start("run").End()
 	if len(seedXors) == 0 {

@@ -14,6 +14,7 @@ import (
 	"accmos/internal/harness"
 	"accmos/internal/model"
 	"accmos/internal/obs"
+	"accmos/internal/simresult"
 	"accmos/internal/testcase"
 	"accmos/internal/types"
 )
@@ -152,6 +153,58 @@ func TestRunHeartbeatTimeline(t *testing.T) {
 		if s.Steps < prev.Steps || s.Coverage < prev.Coverage || s.ElapsedNanos < prev.ElapsedNanos {
 			t.Errorf("snapshot %d regressed: %+v -> %+v", i, prev, s)
 		}
+	}
+
+	// A spawned batch keeps the same contract with steps summed over
+	// its lanes.
+	var batchSnaps []obs.Snapshot
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	lanes, _, err := harness.RunBatch(context.Background(), bin, harness.RunOptions{
+		Steps:     batchLaneSteps,
+		Heartbeat: time.Millisecond,
+		Progress:  func(s obs.Snapshot) { batchSnaps = append(batchSnaps, s) },
+	}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatchHeartbeats(t, batchSnaps, lanes, len(seeds))
+}
+
+// batchLaneSteps makes each lane of the heartbeat batches outlast the
+// 1 ms heartbeat interval, so between-lane heartbeats fall due.
+const batchLaneSteps = 400_000
+
+// checkBatchHeartbeats asserts the batch heartbeat contract: steps are
+// summed over the lanes so far and never decrease, and exactly one
+// snapshot — the last — is final, carrying every lane's steps.
+func checkBatchHeartbeats(t *testing.T, snaps []obs.Snapshot, lanes []*simresult.Results, n int) {
+	t.Helper()
+	if len(lanes) != n {
+		t.Fatalf("got %d lanes, want %d", len(lanes), n)
+	}
+	for i, l := range lanes {
+		if l.Steps != batchLaneSteps || l.ExecNanos <= 0 {
+			t.Errorf("lane %d: steps %d, execNanos %d", i, l.Steps, l.ExecNanos)
+		}
+	}
+	if len(snaps) < 2 {
+		t.Fatalf("want between-lane heartbeats plus the final one, got %d snapshots", len(snaps))
+	}
+	finals := 0
+	for i, s := range snaps {
+		if s.Final {
+			finals++
+		}
+		if i > 0 && s.Steps < snaps[i-1].Steps {
+			t.Errorf("snapshot %d steps went back: %d -> %d", i, snaps[i-1].Steps, s.Steps)
+		}
+	}
+	last := snaps[len(snaps)-1]
+	if finals != 1 || !last.Final {
+		t.Errorf("want exactly one final snapshot, last; got %d finals, last %+v", finals, last)
+	}
+	if want := int64(n) * batchLaneSteps; last.Steps != want {
+		t.Errorf("final snapshot steps %d, want lanes x steps = %d", last.Steps, want)
 	}
 }
 

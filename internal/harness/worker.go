@@ -154,12 +154,12 @@ func (p *WorkerPool) RunContext(ctx context.Context, binPath string, opts RunOpt
 }
 
 // RunBatch executes one batched lane request on a warm worker for
-// binPath: one lane per seedXor, all stepped to opts.Steps through the
-// generated batch loop in a single request/response frame, returning
-// per-lane results in seed order plus the batch's OR-merged coverage
-// (nil when coverage is off). Batch requests are step-bounded
-// (opts.Budget must be zero); opts.Timeout bounds the whole batch —
-// callers scale it by the lane count when they mean a per-run deadline.
+// binPath: one lane per seedXor, each run to opts.Steps back to back in
+// a single request/response frame, returning per-lane results in seed
+// order plus the batch's OR-merged coverage (nil when coverage is off).
+// Batch requests are step-bounded (opts.Budget must be zero);
+// opts.Timeout bounds the whole batch — callers scale it by the lane
+// count when they mean a per-run deadline.
 func (p *WorkerPool) RunBatch(ctx context.Context, binPath string, opts RunOptions, seedXors []uint64) (res []*simresult.Results, cov *coverage.Raw, reused bool, err error) {
 	defer opts.Trace.Start("run").End()
 	if len(seedXors) == 0 {

@@ -215,6 +215,29 @@ func TestWorkerPoolHeartbeatTimeline(t *testing.T) {
 	if st := pool.Stats(); st.Spawns != 1 || st.Reuses != 1 {
 		t.Errorf("both rounds should share one worker: %+v", st)
 	}
+
+	// A pooled batch on the same worker: one request-tagged timeline with
+	// steps summed over its lanes and a single final snapshot, which
+	// RunBatch waits for before it returns.
+	var batchSnaps []obs.Snapshot
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	lanes, _, reused, err := pool.RunBatch(context.Background(), bin, harness.RunOptions{
+		Steps:     batchLaneSteps,
+		Heartbeat: time.Millisecond,
+		Progress:  func(s obs.Snapshot) { batchSnaps = append(batchSnaps, s) },
+	}, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Error("the batch should reuse the warm worker")
+	}
+	checkBatchHeartbeats(t, batchSnaps, lanes, len(seeds))
+	for i, s := range batchSnaps {
+		if s.Run == "" || s.Run != batchSnaps[0].Run {
+			t.Errorf("batch snapshot %d tagged %q, want the request id %q", i, s.Run, batchSnaps[0].Run)
+		}
+	}
 }
 
 func TestWorkerPoolConcurrentRuns(t *testing.T) {
